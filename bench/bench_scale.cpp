@@ -1,12 +1,13 @@
-// Scale bench — hierarchical cell routing at 50k+ routers.
+// Scale bench — per-destination BFS routing at 50k+ routers.
 //
 // The exact all-pairs Tables artifact is O(V^2) bytes (2.7 GB of distance
 // matrix alone at 52k routers) and was the hard wall between the paper's
 // ~1k-router simulations and datacenter-scale topology evaluation.  This
-// bench drives routing::CellIndex directly — graph construction, cell
-// index build, and sampled distance/path queries — on a SpectralFly
-// instance and a port-comparable DragonFly, and records wall-clock and
-// memory footprint against the projected exact-table cost.
+// bench drives the large-graph route path directly — graph construction,
+// the one-BFS CellIndex build (connectivity + diameter bound), and
+// per-destination label BFS with sampled distance/path queries — on a
+// SpectralFly instance and a port-comparable DragonFly, and records
+// wall-clock and memory footprint against the projected exact-table cost.
 //
 // Standalone by design: it never touches engine::Campaign, whose
 // scenario kinds would materialize the O(V^2) tables this bench exists
@@ -50,21 +51,19 @@ struct ScaleRow {
   std::uint32_t radix = 0;
   std::uint64_t edges = 0;
   double graph_build_s = 0;
-  double cell_build_s = 0;
-  std::uint32_t num_cells = 0;
-  std::uint64_t num_boundary = 0;
+  double index_build_s = 0;
   std::uint32_t diameter_bound = 0;
-  std::uint64_t cells_bytes = 0;
+  std::uint64_t label_bytes = 0;  // one query's label array + BFS queue
   std::uint64_t projected_exact_bytes = 0;  // V^2 distance matrix alone
   std::uint64_t queries = 0;
-  double prepare_ms_mean = 0;   // per-destination label build
+  double prepare_ms_mean = 0;   // per-destination label BFS
   double distance_us_mean = 0;  // per distance lookup after prepare
   double walk_hops_mean = 0;
   std::uint32_t walk_hops_max = 0;
 };
 
 ScaleRow run_one(const std::string& name, const Graph& g, double graph_s,
-                 std::uint32_t cell_size, std::uint64_t ndst,
+                 std::uint64_t ndst,
                  std::uint64_t nsrc_per_dst, std::uint64_t seed) {
   ScaleRow row;
   row.name = name;
@@ -75,19 +74,15 @@ ScaleRow run_one(const std::string& name, const Graph& g, double graph_s,
   row.projected_exact_bytes =
       static_cast<std::uint64_t>(g.num_vertices()) * g.num_vertices();
 
-  routing::CellIndex::Options o;
-  o.max_cell_size = cell_size;
   auto t0 = std::chrono::steady_clock::now();
-  const routing::CellIndex x = routing::CellIndex::build(g, o);
-  row.cell_build_s = seconds_since(t0);
-  row.num_cells = x.num_cells();
-  row.num_boundary = x.num_boundary();
+  const routing::CellIndex x = routing::CellIndex::build(g);
+  row.index_build_s = seconds_since(t0);
   row.diameter_bound = x.diameter_bound();
-  row.cells_bytes = x.memory_bytes();
 
   routing::CellQuery q = x.make_query(g);
   Rng rng(seed);
   const Vertex n = g.num_vertices();
+  row.label_bytes = static_cast<std::uint64_t>(n) * (1 + sizeof(Vertex));
   double prepare_s = 0, distance_s = 0;
   std::uint64_t hops_total = 0, walks = 0;
   for (std::uint64_t d = 0; d < ndst; ++d) {
@@ -135,19 +130,17 @@ ScaleRow run_one(const std::string& name, const Graph& g, double graph_s,
 
 void print_row(const ScaleRow& r) {
   std::printf(
-      "%-22s %7llu routers  radix %-3u  build %7.2f s  cells %5u  "
-      "boundary %7llu  %7.1f MB (exact: %7.1f MB)  prepare %7.2f ms  "
+      "%-22s %7llu routers  radix %-3u  build %7.3f s  labels %6.2f MB "
+      "(exact: %7.1f MB)  prepare %7.2f ms  "
       "distance %6.2f us  hops mean %.2f max %u <= bound %u\n",
       r.name.c_str(), static_cast<unsigned long long>(r.routers), r.radix,
-      r.cell_build_s, r.num_cells,
-      static_cast<unsigned long long>(r.num_boundary),
-      static_cast<double>(r.cells_bytes) / 1e6,
+      r.index_build_s, static_cast<double>(r.label_bytes) / 1e6,
       static_cast<double>(r.projected_exact_bytes) / 1e6, r.prepare_ms_mean,
       r.distance_us_mean, r.walk_hops_mean, r.walk_hops_max,
       r.diameter_bound);
 }
 
-void write_json(const std::string& path, std::uint32_t cell_size, bool full,
+void write_json(const std::string& path, bool full,
                 const std::vector<ScaleRow>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
@@ -157,29 +150,26 @@ void write_json(const std::string& path, std::uint32_t cell_size, bool full,
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_scale\",\n"
-               "  \"cell_size\": %u,\n"
                "  \"full\": %s,\n"
                "  \"topologies\": [",
-               cell_size, full ? "true" : "false");
+               full ? "true" : "false");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ScaleRow& r = rows[i];
     std::fprintf(
         f,
         "%s\n    {\"name\": \"%s\", \"routers\": %llu, \"radix\": %u, "
         "\"edges\": %llu,\n"
-        "     \"graph_build_s\": %.3f, \"cell_build_s\": %.3f,\n"
-        "     \"num_cells\": %u, \"num_boundary\": %llu, "
+        "     \"graph_build_s\": %.3f, \"index_build_s\": %.3f, "
         "\"diameter_bound\": %u,\n"
-        "     \"cells_bytes\": %llu, \"projected_exact_bytes\": %llu,\n"
+        "     \"label_bytes\": %llu, \"projected_exact_bytes\": %llu,\n"
         "     \"queries\": %llu, \"prepare_ms_mean\": %.3f, "
         "\"distance_us_mean\": %.3f,\n"
         "     \"walk_hops_mean\": %.3f, \"walk_hops_max\": %u}",
         i ? "," : "", r.name.c_str(),
         static_cast<unsigned long long>(r.routers), r.radix,
         static_cast<unsigned long long>(r.edges), r.graph_build_s,
-        r.cell_build_s, r.num_cells,
-        static_cast<unsigned long long>(r.num_boundary), r.diameter_bound,
-        static_cast<unsigned long long>(r.cells_bytes),
+        r.index_build_s, r.diameter_bound,
+        static_cast<unsigned long long>(r.label_bytes),
         static_cast<unsigned long long>(r.projected_exact_bytes),
         static_cast<unsigned long long>(r.queries), r.prepare_ms_mean,
         r.distance_us_mean, r.walk_hops_mean, r.walk_hops_max);
@@ -197,21 +187,17 @@ void write_json(const std::string& path, std::uint32_t cell_size, bool full,
 int main(int argc, char** argv) {
   bench::StandardOptions opts(
       argc, argv,
-      {"Scale: hierarchical cell routing at 50k+ routers (CellIndex, no "
-       "O(V^2) tables)",
+      {"Scale: per-destination BFS routing at 50k+ routers (no O(V^2) "
+       "tables)",
        "#   --queries N    destination samples per topology (default 64)\n"
        "#   --sources N    source walks per destination (default 4)\n"
-       "#   --cell-size N  max routers per cell, 1..255 (default 64)\n"
        "#   --out PATH     JSON record path (default BENCH_scale.json)",
        {{"--queries", true, "destination samples per topology (default 64)"},
         {"--sources", true, "source walks per destination (default 4)"},
-        {"--cell-size", true, "max routers per cell, 1..255 (default 64)"},
         {"--out", true, "JSON record path (default BENCH_scale.json)"}}});
   const bool full = opts.full();
   const std::uint64_t ndst = opts.flags().get("--queries", 64);
   const std::uint64_t nsrc = opts.flags().get("--sources", 4);
-  const auto cell_size =
-      static_cast<std::uint32_t>(opts.flags().get("--cell-size", 64));
   const std::string out = opts.flags().get_str("--out", "BENCH_scale.json");
   const std::uint64_t seed = opts.seed_or(1);
 #ifdef _OPENMP
@@ -234,10 +220,10 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     const Graph g = t == 0 ? topo::lps_graph(lps) : topo::dragonfly_graph(df);
     const double graph_s = seconds_since(t0);
-    rows.push_back(run_one(name, g, graph_s, cell_size, ndst, nsrc, seed));
+    rows.push_back(run_one(name, g, graph_s, ndst, nsrc, seed));
     print_row(rows.back());
   }
-  write_json(out, cell_size, full, rows);
+  write_json(out, full, rows);
   std::fprintf(stderr, "# wrote %s\n", out.c_str());
   return 0;
 }

@@ -38,15 +38,8 @@ std::shared_ptr<const routing::NextHopIndex> Artifacts::next_hops() {
 
 std::shared_ptr<const routing::CellIndex> Artifacts::cell_index() {
   std::call_once(cell_once_, [this] {
-    if (cell_) return;
-    const auto g = graph();
-    if (g->num_vertices() <= kCellExactThreshold) {
-      cell_ = std::make_shared<const routing::CellIndex>(
-          routing::CellIndex::wrap_exact(tables()));
-    } else {
-      cell_ = std::make_shared<const routing::CellIndex>(
-          routing::CellIndex::build(*g));
-    }
+    cell_ = std::make_shared<const routing::CellIndex>(
+        routing::CellIndex::build(*graph()));
   });
   return cell_;
 }
@@ -65,7 +58,6 @@ Artifacts::Footprint Artifacts::footprint() const {
   if (tables_) f.tables_bytes = tables_->memory_bytes();
   if (next_hops_) f.next_hops_bytes = next_hops_->memory_bytes();
   if (spectra_) f.spectra_bytes = sizeof(Spectra);
-  if (cell_) f.cells_bytes = cell_->memory_bytes();
   return f;
 }
 

@@ -23,10 +23,9 @@
 
 namespace sfly::engine {
 
-/// Vertex-count ceiling for exact all-pairs routing artifacts.  At or
-/// below it, cell_index() wraps the shared Tables (same answers, no extra
-/// memory); above it, the O(V^2) tables are impractical and cell_index()
-/// builds the hierarchical routing::CellIndex instead.
+/// Vertex-count ceiling for exact all-pairs routing artifacts.  Above it
+/// the O(V^2) tables are impractical: routes run one BFS per destination
+/// (routing::CellQuery) and snapshots store graph + spectra only.
 inline constexpr Vertex kCellExactThreshold = 4096;
 
 /// Lazily materialized per-topology artifacts.  Thread-safe: concurrent
@@ -40,10 +39,11 @@ class Artifacts {
     std::size_t tables_bytes = 0;
     std::size_t next_hops_bytes = 0;
     std::size_t spectra_bytes = 0;
-    std::size_t cells_bytes = 0;  // 0 when cell_index() wraps exact tables
+    // Always 0: the large-graph route labels are query-local and
+    // CellIndex stores no arrays.  Kept for the stats/bench field.
+    std::size_t cells_bytes = 0;
     [[nodiscard]] std::size_t total() const {
-      return graph_bytes + tables_bytes + next_hops_bytes + spectra_bytes +
-             cells_bytes;
+      return graph_bytes + tables_bytes + next_hops_bytes + spectra_bytes;
     }
   };
 
@@ -56,14 +56,12 @@ class Artifacts {
   Artifacts(std::shared_ptr<const Graph> graph,
             std::shared_ptr<const routing::Tables> tables,
             std::shared_ptr<const routing::NextHopIndex> next_hops,
-            std::shared_ptr<const Spectra> spectra, std::uint32_t concentration,
-            std::shared_ptr<const routing::CellIndex> cell = nullptr)
+            std::shared_ptr<const Spectra> spectra, std::uint32_t concentration)
       : concentration_(concentration),
         graph_(std::move(graph)),
         tables_(std::move(tables)),
         next_hops_(std::move(next_hops)),
-        spectra_(std::move(spectra)),
-        cell_(std::move(cell)) {}
+        spectra_(std::move(spectra)) {}
 
   [[nodiscard]] std::uint32_t concentration() const { return concentration_; }
 
@@ -72,10 +70,8 @@ class Artifacts {
   [[nodiscard]] std::shared_ptr<const routing::NextHopIndex> next_hops();
   [[nodiscard]] std::shared_ptr<const Spectra> spectra();
 
-  /// Scale-adaptive routing artifact: wraps the exact tables at or below
-  /// kCellExactThreshold vertices (bitwise the same answers, no extra
-  /// build), builds the hierarchical cell index above it.  This is the
-  /// only routing accessor that is safe to force at 50k+ routers.
+  /// Connectivity check + diameter bound from one BFS (CellIndex::build),
+  /// at any size.  Safe to force at 50k+ routers, unlike tables().
   [[nodiscard]] std::shared_ptr<const routing::CellIndex> cell_index();
 
   /// A core::Network sharing the cached graph, all-pairs tables, and

@@ -441,7 +441,12 @@ std::size_t CampaignDispatcher::run_batch_impl(
     const Slot& s = slots_[wi];
     transport_->send(wi, meta_line + slice_line(s.cursor, s.hi));
   };
-  hooks.failed = [&] { return !err.empty(); };
+  // A fleet that is stopping never assembles: workers that join after
+  // the parent's budget ran out get a ~0 budget and leave again at once.
+  hooks.failed = [&] {
+    return !err.empty() || fleet_stopped_ ||
+           (opts.stop_after && opts.stop_after());
+  };
 
   if (!started_) {
     started_ = true;

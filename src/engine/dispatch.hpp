@@ -131,9 +131,9 @@ class Transport {
     /// the dispatcher replays history and assigns the slot's slice.
     std::function<void(std::size_t)> on_join;
     /// True once the dispatcher has recorded a fatal protocol error
-    /// (e.g. a stale-declaration refusal).  A transport whose start()
-    /// blocks waiting for joins must return when this fires: the
-    /// erroring worker is gone and the fleet may never assemble.
+    /// (e.g. a stale-declaration refusal) or the run is budget-stopping.
+    /// A transport whose start() blocks waiting for joins must return
+    /// when this fires: the fleet may never assemble.
     std::function<bool()> failed;
   };
 

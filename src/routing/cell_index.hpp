@@ -1,74 +1,51 @@
 #pragma once
-// Hierarchical cell-based routing index — the sub-quadratic replacement
-// for the all-pairs Tables/NextHopIndex pair past a few thousand routers
-// (ROADMAP "100k-router scale"; OSRM's partition/customize split is the
-// blueprint).
+// Large-graph routing: exact per-destination BFS labels, the sub-quadratic
+// replacement for the all-pairs Tables/NextHopIndex pair past
+// engine::kCellExactThreshold routers.
 //
-// The topology is cut into leaf cells by recursive bisection
-// (partition/recursive_bisection.hpp).  Per cell we store the
-// cell-restricted distance matrix between its members (paths confined to
-// the cell's induced subgraph; 0xFF where none exists — on expanders,
-// cells are near-edgeless and that is the common case).  Every member
-// with an out-of-cell edge is a *boundary* vertex; the boundary vertices
-// form an overlay graph whose edges are (a) same-cell pairs weighted by
-// their finite cell-restricted distance and (b) the original cut edges,
-// weight 1.
+// CellQuery::prepare(dst) runs one BFS over the graph CSR into a reused u8
+// d(., dst) array; distance / minimal-next-hop / sampled-next-hop queries
+// read it.  Next-hop sets come from the same adjacency-order scan and the
+// same (entropy % count) pick as Tables::sample_next_hop, so wherever both
+// exist the sampled hops agree bit for bit (tests/test_cell_index.cpp pins
+// this).  Memory is the graph plus V bytes of labels per live query; there
+// is no build step beyond one connectivity BFS.
 //
-// Exactness, not approximation: any shortest path decomposes into maximal
-// single-cell segments joined by cut edges, each segment's endpoints are
-// boundary vertices of its cell, and the cell-restricted distance lower-
-// bounds nothing — it is *achieved* by that segment — so overlay
-// distances between boundary vertices equal true graph distances, and
+// Why not a cell hierarchy: OSRM-style cell routing wins only where the
+// graph has small cuts, and by Cheeger's inequality an expander has none.
+// On LPS and DragonFly every vertex ended up a boundary vertex, and the
+// overlay query cost more than this plain BFS (DESIGN.md §9).
 //
-//     d(u,v) = min( intra(u,v) if same cell,
-//                   min over boundary b of cell(u):  intra(u,b) + d(b,v) )
-//
-// is exact for every pair.  A CellQuery materializes d(., dst) on the
-// overlay once per destination (bucket-queue Dijkstra over <= 255-hop
-// labels) and answers distance / minimal-next-hop / sampled-next-hop
-// queries per vertex in O(cell size).  Minimal next-hop sets are computed
-// with the same neighbor scan and the same (entropy % count) pick as
-// Tables::sample_next_hop, so at any scale where both exist the sampled
-// hops agree bit for bit (tests/test_cell_index.cpp pins this).
-//
-// Memory is O(V * cell + cut) instead of O(V^2): ~40 MB where the exact
-// tables would need ~2.7 GB of distances alone at 52k routers.
-//
-// Below `exact_threshold` vertices a CellIndex simply wraps the shared
-// all-pairs Tables (wrap_exact) and delegates — small topologies keep the
-// exact artifact and its pinned bytes, large ones switch representation
-// behind the same engine::Artifacts accessor.
+// The CellIndex/CellQuery names predate that finding and are kept only
+// because the benchmark harness (sflybench/src/svc.cpp) compiles against
+// them; renaming to DistLabels waits for a benchmark change that retargets
+// its large_route workload.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "routing/tables.hpp"
-#include "util/owned_span.hpp"
 
 namespace sfly::routing {
 
-class CellIndex;
-
-/// Per-destination query workspace over one CellIndex.  Not thread-safe;
-/// make one per thread and prepare() it per destination.  All vertex
-/// arguments must belong to the graph the index was built over (passed
-/// once at make_query time).
+/// Per-destination distance labels over one graph.  Not thread-safe; make
+/// one per thread and prepare() it per destination.  The graph must
+/// outlive the query.
 class CellQuery {
  public:
-  /// Materialize exact distances-to-`dst` on the boundary overlay.
-  /// Must be called before the per-vertex queries; O(overlay) in cell
-  /// mode, O(1) when the index wraps exact tables.
+  explicit CellQuery(const Graph& g);
+
+  /// BFS from `dst` into the label array.  Throws std::runtime_error if
+  /// the graph is disconnected or a distance exceeds 254 hops; the query
+  /// is then unprepared.
   void prepare(Vertex dst);
 
-  /// Destination of the last prepare() (num_vertices() when unprepared).
+  /// Destination of the last successful prepare() (num_vertices() when
+  /// unprepared).
   [[nodiscard]] Vertex dst() const { return dst_; }
 
-  /// Exact d(u, dst).  Throws on distance overflow (> 254 hops).
-  [[nodiscard]] std::uint8_t distance(Vertex u) const;
+  /// Exact d(u, dst).
+  [[nodiscard]] std::uint8_t distance(Vertex u) const { return label_[u]; }
 
   /// Append all minimal next hops from u toward dst (adjacency order) —
   /// the same set Tables::minimal_next_hops yields.
@@ -79,120 +56,39 @@ class CellQuery {
   [[nodiscard]] Vertex sample_next_hop(Vertex u, std::uint64_t entropy) const;
 
  private:
-  friend class CellIndex;
-  CellQuery(const CellIndex* index, const Graph* graph);
-
-  const CellIndex* index_;
   const Graph* graph_;
   Vertex dst_;
-  std::vector<std::uint8_t> label_;                 // overlay node -> d(., dst)
-  std::vector<std::vector<std::uint32_t>> buckets_; // Dijkstra bucket queue
+  std::vector<std::uint8_t> label_;  // vertex -> d(., dst)
+  std::vector<Vertex> queue_;        // BFS frontier, reused
 };
 
+/// Whole-graph facts the large-graph route path needs up front: the graph
+/// is connected, and a diameter bound to budget walks.
 class CellIndex {
  public:
-  struct Options {
-    Vertex max_cell_size = 64;  // leaf cell bound (2..255)
-    std::uint64_t seed = 1;     // partition seed
-    int restarts = 2;           // per-split bisection restarts
-    int fm_passes = 4;          // per-split FM passes
-  };
+  /// One BFS from vertex 0 (CellQuery::prepare).  Throws if the graph is
+  /// disconnected (like Tables::build) or deeper than 254 hops.
+  static CellIndex build(const Graph& g);
 
-  /// The raw array set (snapshot serialization and from_view): every span
-  /// is a zero-copy window into the index (or, for from_view, into
-  /// externally owned memory such as an mmap'd snapshot).
-  struct Views {
-    Vertex n = 0;
-    std::uint32_t num_cells = 0;
-    std::uint32_t num_boundary = 0;
-    std::uint8_t diameter_bound = 0;
-    std::span<const std::uint32_t> cell_of;          // n
-    std::span<const std::uint32_t> cell_offsets;     // num_cells + 1
-    std::span<const std::uint32_t> members;          // n, ascending per cell
-    std::span<const std::uint16_t> local_index;      // n
-    std::span<const std::uint32_t> intra_offsets;    // num_cells + 1
-    std::span<const std::uint8_t> intra;             // sum of cell_size^2
-    std::span<const std::uint32_t> boundary_offsets; // num_cells + 1
-    std::span<const std::uint16_t> boundary_local;   // num_boundary
-    std::span<const std::uint32_t> overlay_id;       // n (0xFFFFFFFF interior)
-    std::span<const std::uint32_t> overlay_vertex;   // num_boundary
-    std::span<const std::uint32_t> ov_offsets;       // num_boundary + 1
-    std::span<const std::uint32_t> ov_adj;           // overlay edge targets
-    std::span<const std::uint8_t> ov_w;              // parallel edge weights
-  };
-
-  /// Partition + per-cell matrices + boundary overlay.  Throws if the
-  /// graph is disconnected (like Tables::build) or the options are out of
-  /// range.  OpenMP-parallel over cells.
-  static CellIndex build(const Graph& g, const Options& opts);
-  static CellIndex build(const Graph& g) { return build(g, Options{}); }
-
-  /// Exact mode: share an already-built all-pairs table and delegate every
-  /// query to it bitwise.  No arrays are built (memory_bytes() is 0).
-  static CellIndex wrap_exact(std::shared_ptr<const Tables> tables);
-
-  /// Zero-copy view over externally owned arrays (mmap'd snapshot).  The
-  /// backing memory must outlive the index and every copy of it.
-  static CellIndex from_view(const Views& v);
-
-  /// Process-wide count of build() calls — warm-restart assertions check
-  /// that snapshot-served queries never trigger a cell rebuild.
+  /// Process-wide count of build() calls.
   static std::uint64_t builds();
 
-  /// True when this index delegates to exact all-pairs tables.
-  [[nodiscard]] bool exact() const { return tables_ != nullptr; }
-  /// The wrapped tables in exact mode (nullptr in cell mode).
-  [[nodiscard]] const std::shared_ptr<const Tables>& exact_tables() const {
-    return tables_;
-  }
-
   [[nodiscard]] Vertex num_vertices() const { return n_; }
-  [[nodiscard]] std::uint32_t num_cells() const { return num_cells_; }
-  [[nodiscard]] std::uint32_t num_boundary() const { return num_boundary_; }
-  /// Upper bound on the graph diameter (2 * ecc(vertex 0), capped at 254);
-  /// exact-mode indexes report the wrapped tables' true diameter.
-  [[nodiscard]] std::uint8_t diameter_bound() const {
-    return tables_ ? tables_->diameter() : diameter_bound_;
-  }
+  /// Always 0: the whole graph is one cell, so no vertex is on a boundary.
+  [[nodiscard]] std::uint32_t num_boundary() const { return 0; }
+  /// Upper bound on the graph diameter: 2 * ecc(vertex 0), capped at 254.
+  [[nodiscard]] std::uint8_t diameter_bound() const { return diameter_bound_; }
 
-  /// A query workspace bound to `g` — which must be the graph this index
-  /// was built over (same vertex set and adjacency).
+  /// A query over `g`, which must be the graph this index was built over.
   [[nodiscard]] CellQuery make_query(const Graph& g) const {
-    return CellQuery(this, &g);
+    return CellQuery(g);
   }
-
-  /// Bytes of owned/viewed cell arrays (0 in exact mode — the wrapped
-  /// tables are accounted by their own owner).
-  [[nodiscard]] std::size_t memory_bytes() const;
-  [[nodiscard]] bool is_view() const { return cell_of_.is_view(); }
-
-  /// Raw arrays (snapshot serialization; read-only).
-  [[nodiscard]] Views views() const;
 
  private:
-  friend class CellQuery;
   CellIndex() = default;
 
-  static constexpr std::uint32_t kNoOverlay = 0xFFFFFFFFu;
-
   Vertex n_ = 0;
-  std::uint32_t num_cells_ = 0;
-  std::uint32_t num_boundary_ = 0;
   std::uint8_t diameter_bound_ = 0;
-  OwnedSpan<std::uint32_t> cell_of_;
-  OwnedSpan<std::uint32_t> cell_offsets_;
-  OwnedSpan<std::uint32_t> members_;
-  OwnedSpan<std::uint16_t> local_index_;
-  OwnedSpan<std::uint32_t> intra_offsets_;
-  OwnedSpan<std::uint8_t> intra_;
-  OwnedSpan<std::uint32_t> boundary_offsets_;
-  OwnedSpan<std::uint16_t> boundary_local_;
-  OwnedSpan<std::uint32_t> overlay_id_;
-  OwnedSpan<std::uint32_t> overlay_vertex_;
-  OwnedSpan<std::uint32_t> ov_offsets_;
-  OwnedSpan<std::uint32_t> ov_adj_;
-  OwnedSpan<std::uint8_t> ov_w_;
-  std::shared_ptr<const Tables> tables_;  // exact mode only
 };
 
 }  // namespace sfly::routing

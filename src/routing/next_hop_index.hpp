@@ -125,11 +125,8 @@ template <class PortProbe>
       src_router == dst_router)
     return route;
 
-  const Vertex n = tables.num_vertices();
-  std::uint64_t draw = 0xA11CE;
-  Vertex mid = static_cast<Vertex>(split_seed(entropy, draw) % n);
-  while (mid == src_router || mid == dst_router)
-    mid = static_cast<Vertex>(split_seed(entropy, ++draw) % n);
+  const Vertex mid = valiant_intermediate(tables.num_vertices(), src_router,
+                                          dst_router, entropy);
 
   if (algo == Algo::kValiant) {
     route.valiant = true;

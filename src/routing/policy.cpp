@@ -28,13 +28,8 @@ PacketRoute source_decision(Algo algo, const Graph& g, const Tables& tables,
       src_router == dst_router)
     return route;
 
-  // Sample a random intermediate distinct from source and destination
-  // (counter-driven redraws cannot cycle).
-  const Vertex n = tables.num_vertices();
-  std::uint64_t draw = 0xA11CE;
-  Vertex mid = static_cast<Vertex>(split_seed(entropy, draw) % n);
-  while (mid == src_router || mid == dst_router)
-    mid = static_cast<Vertex>(split_seed(entropy, ++draw) % n);
+  const Vertex mid = valiant_intermediate(tables.num_vertices(), src_router,
+                                          dst_router, entropy);
 
   if (algo == Algo::kValiant) {
     route.valiant = true;

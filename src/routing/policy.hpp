@@ -14,6 +14,7 @@
 
 #include "graph/graph.hpp"
 #include "routing/tables.hpp"
+#include "util/rng.hpp"
 
 namespace sfly::routing {
 
@@ -41,6 +42,21 @@ struct PacketRoute {
 /// Queue-occupancy probe: bytes queued on the local output port toward
 /// neighbor `next` of router `at` (UGAL-L's only state input).
 using QueueProbe = std::function<std::uint64_t(Vertex at, Vertex next)>;
+
+/// The Valiant intermediate for a packet from `src_router` to a distinct
+/// `dst_router` in an n-router graph (n >= 3): a router distinct from both,
+/// drawn from `entropy`'s 0xA11CE stream (counter-driven redraws cannot
+/// cycle).  Every source decision draws it here, so the scan, indexed and
+/// large-graph paths agree bit for bit.
+[[nodiscard]] inline Vertex valiant_intermediate(Vertex n, Vertex src_router,
+                                                 Vertex dst_router,
+                                                 std::uint64_t entropy) {
+  std::uint64_t draw = 0xA11CE;
+  Vertex mid = static_cast<Vertex>(split_seed(entropy, draw) % n);
+  while (mid == src_router || mid == dst_router)
+    mid = static_cast<Vertex>(split_seed(entropy, ++draw) % n);
+  return mid;
+}
 
 /// Decide the route mode at the source router (called once per packet).
 /// For kUgalL this compares queue x hops of the minimal first hop against

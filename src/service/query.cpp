@@ -158,14 +158,10 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
 
   // Scale split: exact all-pairs tables up to engine::kCellExactThreshold
   // vertices (every pinned byte of the small-topology responses is served
-  // by the unchanged path below), hierarchical cell index beyond it.
-  const bool cell_mode = g->num_vertices() > engine::kCellExactThreshold;
+  // by the unchanged path below), one BFS per destination beyond it.
+  const bool large = g->num_vertices() > engine::kCellExactThreshold;
   std::shared_ptr<const routing::Tables> t;
-  std::shared_ptr<const routing::CellIndex> cell;
-  if (cell_mode)
-    cell = art->cell_index();
-  else
-    t = art->tables();
+  if (!large) t = art->tables();
 
   // Failed-link overlay: "fail":[u1,v1,u2,v2,...].  The overlay tables are
   // query-local (never cached) — this is the "what if these links die"
@@ -190,14 +186,11 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
       auto overlay = std::make_shared<const Graph>(
           Graph::from_edges(g->num_vertices(), std::move(edges)));
       // Throws "graph disconnected" -> error frame when the overlay cuts
-      // the destination off; the daemon stays up.
-      if (cell_mode) {
-        cell = std::make_shared<const routing::CellIndex>(
-            routing::CellIndex::build(*overlay));
-      } else {
+      // the graph; the daemon stays up.  Large graphs check the same in
+      // CellQuery::prepare below.
+      if (!large)
         t = std::make_shared<const routing::Tables>(
             routing::Tables::build(*overlay));
-      }
       g = std::move(overlay);
     }
   }
@@ -210,7 +203,7 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
   std::vector<Vertex> path{static_cast<Vertex>(src)};
   Vertex at = static_cast<Vertex>(src);
   std::uint64_t hop = 0;
-  if (!cell_mode) {
+  if (!large) {
     // Zero-occupancy queue probe: with no live traffic UGAL degenerates to
     // its deterministic tie-break, which keeps route answers reproducible.
     const routing::QueueProbe probe = [](Vertex, Vertex) { return 0ull; };
@@ -225,24 +218,21 @@ std::string QueryEngine::handle_route(const JsonObject& q, std::uint64_t id) {
       path.push_back(at);
     }
   } else {
-    // Mirror source_decision under the zero-occupancy probe: UGAL's
+    // Same result as source_decision under the zero-occupancy probe: UGAL's
     // q_val*h_val < q_min*h_min comparison reads 0 < 0 — always minimal —
-    // so only valiant needs the intermediate, drawn from the exact
-    // entropy stream source_decision uses.  Sampled hops themselves are
-    // bitwise what the exact tables would pick (CellQuery contract).
+    // so only valiant takes the intermediate.  Sampled hops are bitwise
+    // what the exact tables would pick (CellQuery contract), and every
+    // hop strictly decreases the label, so the walk needs no hop budget.
     if (algo == routing::Algo::kValiant && src != dst) {
-      std::uint64_t draw = 0xA11CE;
-      Vertex mid = static_cast<Vertex>(split_seed(seed, draw) % n);
-      while (mid == src || mid == dst)
-        mid = static_cast<Vertex>(split_seed(seed, ++draw) % n);
       route.valiant = true;
-      route.intermediate = mid;
+      route.intermediate = routing::valiant_intermediate(
+          n, static_cast<Vertex>(src), static_cast<Vertex>(dst), seed);
     }
-    routing::CellQuery cq = cell->make_query(*g);
-    const std::size_t max_hops = 4u * cell->diameter_bound() + 16;
+    routing::CellQuery cq(*g);
+    // Prepared before the walk, so a disconnected graph is an error even
+    // when src == dst.
+    cq.prepare(route.valiant ? route.intermediate : static_cast<Vertex>(dst));
     while (at != static_cast<Vertex>(dst)) {
-      if (hop >= max_hops)
-        throw std::runtime_error("routing loop (exceeded hop budget)");
       const std::uint64_t e = split_seed(seed, hop++);
       if (route.valiant && route.phase == 0 && at == route.intermediate)
         route.phase = 1;

@@ -30,15 +30,16 @@ struct Header {
 };
 static_assert(sizeof(Header) == kHeaderBytes);
 
-// Entry artifact flags: which routing representation the entry carries.
+// Entry artifact flags.  Entries above engine::kCellExactThreshold carry
+// graph + spectra only (flags 0): large-graph routes run one BFS per
+// destination and have nothing to store.
 constexpr std::uint32_t kFlagExact = 1u;  // dist_off / nh_* blobs present
-constexpr std::uint32_t kFlagCell = 2u;   // cell_* / ov_* blobs present
 
 struct EntryDesc {
   char name[kNameBytes];       // NUL-terminated topology name
   std::uint32_t concentration;
   std::uint32_t n;             // vertices
-  std::uint8_t diameter;       // exact: true diameter; cell: diameter bound
+  std::uint8_t diameter;       // exact tables' diameter (0 without them)
   std::uint8_t pad[7];
   std::uint64_t graph_offsets_off;  // n+1 u32
   std::uint64_t graph_adj_off;      // graph_adj_count u32
@@ -49,27 +50,10 @@ struct EntryDesc {
   std::uint64_t nh_slots_off;       // nh_entry_count u16
   std::uint64_t nh_entry_count;
   std::uint64_t spectra_off;        // one SpectraBlob
-  // --- v2: routing representation flags + cell-index blobs ---
-  std::uint32_t flags;               // kFlagExact | kFlagCell
-  std::uint32_t num_cells;
-  std::uint64_t num_boundary;
-  std::uint64_t cell_of_off;          // n u32
-  std::uint64_t cell_offsets_off;     // num_cells+1 u32
-  std::uint64_t members_off;          // n u32
-  std::uint64_t local_index_off;      // n u16
-  std::uint64_t intra_offsets_off;    // num_cells+1 u32
-  std::uint64_t intra_off;            // intra_count u8
-  std::uint64_t intra_count;
-  std::uint64_t boundary_offsets_off; // num_cells+1 u32
-  std::uint64_t boundary_local_off;   // num_boundary u16
-  std::uint64_t overlay_id_off;       // n u32
-  std::uint64_t overlay_vertex_off;   // num_boundary u32
-  std::uint64_t ov_offsets_off;       // num_boundary+1 u32
-  std::uint64_t ov_adj_off;           // ov_edge_count u32
-  std::uint64_t ov_w_off;             // ov_edge_count u8
-  std::uint64_t ov_edge_count;
+  std::uint32_t flags;              // 0 or kFlagExact
+  std::uint8_t pad2[4];
 };
-static_assert(sizeof(EntryDesc) == 264);
+static_assert(sizeof(EntryDesc) == 136);
 
 // Spectra is an in-memory struct with padding; the blob spells the fields
 // out so the file carries no indeterminate bytes.
@@ -119,7 +103,6 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache) {
     auto art = cache.get(name);
     const auto graph = art->graph();
     const auto spectra = art->spectra();
-    const auto cell = art->cell_index();
 
     EntryDesc& d = descs[e];
     std::memset(&d, 0, sizeof(d));
@@ -141,8 +124,7 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache) {
     d.graph_adj_off = blob_off(ga.data(), ga.size_bytes());
     d.graph_adj_count = ga.size();
 
-    if (cell->exact()) {
-      // Small topology: exact all-pairs blobs, as in v1.
+    if (d.n <= engine::kCellExactThreshold) {
       const auto tables = art->tables();
       const auto next_hops = art->next_hops();
       d.flags = kFlagExact;
@@ -158,37 +140,6 @@ void write_snapshot(const std::string& path, engine::ArtifactCache& cache) {
       d.nh_verts_off = blob_off(nv.data(), nv.size_bytes());
       d.nh_slots_off = blob_off(ns.data(), ns.size_bytes());
       d.nh_entry_count = nv.size();
-    } else {
-      // 50k+-router topology: hierarchical cell-index blobs; the O(V^2)
-      // tables are never materialized.
-      const auto v = cell->views();
-      d.flags = kFlagCell;
-      d.diameter = v.diameter_bound;
-      d.num_cells = v.num_cells;
-      d.num_boundary = v.num_boundary;
-      d.cell_of_off = blob_off(v.cell_of.data(), v.cell_of.size_bytes());
-      d.cell_offsets_off =
-          blob_off(v.cell_offsets.data(), v.cell_offsets.size_bytes());
-      d.members_off = blob_off(v.members.data(), v.members.size_bytes());
-      d.local_index_off =
-          blob_off(v.local_index.data(), v.local_index.size_bytes());
-      d.intra_offsets_off =
-          blob_off(v.intra_offsets.data(), v.intra_offsets.size_bytes());
-      d.intra_off = blob_off(v.intra.data(), v.intra.size_bytes());
-      d.intra_count = v.intra.size();
-      d.boundary_offsets_off =
-          blob_off(v.boundary_offsets.data(), v.boundary_offsets.size_bytes());
-      d.boundary_local_off =
-          blob_off(v.boundary_local.data(), v.boundary_local.size_bytes());
-      d.overlay_id_off =
-          blob_off(v.overlay_id.data(), v.overlay_id.size_bytes());
-      d.overlay_vertex_off =
-          blob_off(v.overlay_vertex.data(), v.overlay_vertex.size_bytes());
-      d.ov_offsets_off =
-          blob_off(v.ov_offsets.data(), v.ov_offsets.size_bytes());
-      d.ov_adj_off = blob_off(v.ov_adj.data(), v.ov_adj.size_bytes());
-      d.ov_w_off = blob_off(v.ov_w.data(), v.ov_w.size_bytes());
-      d.ov_edge_count = v.ov_adj.size();
     }
 
     SpectraBlob sb{};
@@ -279,8 +230,7 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
           off > size - bytes)
         fail(std::string("entry blob out of bounds: ") + what + ": " + path);
     };
-    if (d.flags == 0 || (d.flags & ~(kFlagExact | kFlagCell)) != 0)
-      fail("unknown entry flags: " + path);
+    if ((d.flags & ~kFlagExact) != 0) fail("unknown entry flags: " + path);
     check(d.graph_offsets_off, (n + 1) * sizeof(std::uint32_t), "graph offsets");
     check(d.graph_adj_off, d.graph_adj_count * sizeof(std::uint32_t), "graph adj");
     if (d.flags & kFlagExact) {
@@ -288,24 +238,6 @@ std::shared_ptr<Snapshot> Snapshot::open(const std::string& path) {
       check(d.nh_offsets_off, (rows + 1) * sizeof(std::uint32_t), "nh offsets");
       check(d.nh_verts_off, d.nh_entry_count * sizeof(std::uint32_t), "nh verts");
       check(d.nh_slots_off, d.nh_entry_count * sizeof(std::uint16_t), "nh slots");
-    }
-    if (d.flags & kFlagCell) {
-      const std::size_t cells1 = static_cast<std::size_t>(d.num_cells) + 1;
-      const std::size_t nb = d.num_boundary;
-      check(d.cell_of_off, n * sizeof(std::uint32_t), "cell of");
-      check(d.cell_offsets_off, cells1 * sizeof(std::uint32_t), "cell offsets");
-      check(d.members_off, n * sizeof(std::uint32_t), "cell members");
-      check(d.local_index_off, n * sizeof(std::uint16_t), "cell local index");
-      check(d.intra_offsets_off, cells1 * sizeof(std::uint32_t), "intra offsets");
-      check(d.intra_off, d.intra_count, "intra matrices");
-      check(d.boundary_offsets_off, cells1 * sizeof(std::uint32_t),
-            "boundary offsets");
-      check(d.boundary_local_off, nb * sizeof(std::uint16_t), "boundary local");
-      check(d.overlay_id_off, n * sizeof(std::uint32_t), "overlay id");
-      check(d.overlay_vertex_off, nb * sizeof(std::uint32_t), "overlay vertex");
-      check(d.ov_offsets_off, (nb + 1) * sizeof(std::uint32_t), "overlay offsets");
-      check(d.ov_adj_off, d.ov_edge_count * sizeof(std::uint32_t), "overlay adj");
-      check(d.ov_w_off, d.ov_edge_count, "overlay weights");
     }
     check(d.spectra_off, sizeof(SpectraBlob), "spectra");
   }
@@ -368,47 +300,6 @@ void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,
           keep);
     }
 
-    std::shared_ptr<const routing::CellIndex> cell;
-    if (d.flags & kFlagCell) {
-      routing::CellIndex::Views v;
-      v.n = d.n;
-      v.num_cells = d.num_cells;
-      v.num_boundary = static_cast<std::uint32_t>(d.num_boundary);
-      v.diameter_bound = d.diameter;
-      const std::size_t cells1 = static_cast<std::size_t>(d.num_cells) + 1;
-      const std::size_t nb = d.num_boundary;
-      v.cell_of = {reinterpret_cast<const std::uint32_t*>(at(d.cell_of_off)), n};
-      v.cell_offsets = {
-          reinterpret_cast<const std::uint32_t*>(at(d.cell_offsets_off)),
-          cells1};
-      v.members = {reinterpret_cast<const std::uint32_t*>(at(d.members_off)),
-                   n};
-      v.local_index = {
-          reinterpret_cast<const std::uint16_t*>(at(d.local_index_off)), n};
-      v.intra_offsets = {
-          reinterpret_cast<const std::uint32_t*>(at(d.intra_offsets_off)),
-          cells1};
-      v.intra = {reinterpret_cast<const std::uint8_t*>(at(d.intra_off)),
-                 d.intra_count};
-      v.boundary_offsets = {
-          reinterpret_cast<const std::uint32_t*>(at(d.boundary_offsets_off)),
-          cells1};
-      v.boundary_local = {
-          reinterpret_cast<const std::uint16_t*>(at(d.boundary_local_off)), nb};
-      v.overlay_id = {
-          reinterpret_cast<const std::uint32_t*>(at(d.overlay_id_off)), n};
-      v.overlay_vertex = {
-          reinterpret_cast<const std::uint32_t*>(at(d.overlay_vertex_off)), nb};
-      v.ov_offsets = {
-          reinterpret_cast<const std::uint32_t*>(at(d.ov_offsets_off)), nb + 1};
-      v.ov_adj = {reinterpret_cast<const std::uint32_t*>(at(d.ov_adj_off)),
-                  d.ov_edge_count};
-      v.ov_w = {reinterpret_cast<const std::uint8_t*>(at(d.ov_w_off)),
-                d.ov_edge_count};
-      cell = std::shared_ptr<const routing::CellIndex>(
-          new routing::CellIndex(routing::CellIndex::from_view(v)), keep);
-    }
-
     SpectraBlob sb{};
     std::memcpy(&sb, at(d.spectra_off), sizeof(sb));
     auto* sp = new Spectra();
@@ -424,7 +315,7 @@ void Snapshot::load_into(const std::shared_ptr<Snapshot>& self,
     cache.adopt(d.name, std::make_shared<engine::Artifacts>(
                             std::move(graph), std::move(tables),
                             std::move(next_hops), std::move(spectra),
-                            d.concentration, std::move(cell)));
+                            d.concentration));
   }
 }
 

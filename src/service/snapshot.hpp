@@ -2,8 +2,9 @@
 // Versioned artifact snapshot store (docs/SERVICE.md §Snapshots).
 //
 // A snapshot serializes every fully materialized topology in an
-// ArtifactCache — graph CSR, all-pairs distance matrix, minimal next-hop
-// index, spectra — into one relocatable, fingerprinted binary file:
+// ArtifactCache — graph CSR and spectra, plus the all-pairs distance
+// matrix and minimal next-hop index for topologies small enough to have
+// them — into one relocatable, fingerprinted binary file:
 //
 //     [Header 64B] [EntryDesc x entry_count] [8-byte-aligned blobs ...]
 //
@@ -29,19 +30,19 @@
 namespace sfly::service {
 
 /// Snapshot file format version; bumped on any layout change.
-/// v2: per-entry artifact flags + hierarchical cell-index blobs, so
-/// 50k+-router topologies snapshot their CellIndex instead of the
-/// impractical O(V^2) tables.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// v3: an entry above engine::kCellExactThreshold vertices stores graph +
+/// spectra only (its routes BFS per destination); an entry at or below it
+/// stores graph, spectra, exact tables and next-hop index.  v2's cell-index
+/// blobs are gone.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// 64-bit FNV-1a over `n` bytes (the snapshot fingerprint hash).
 [[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t n);
 
 /// Serialize every topology in `cache` to `path` (written to a temp file
-/// and renamed, so readers never see a torn snapshot).  Forces graph,
-/// spectra, and the scale-appropriate routing artifact per entry: exact
-/// tables + next-hop index at or below engine::kCellExactThreshold
-/// vertices, the hierarchical cell index above it.  Throws
+/// and renamed, so readers never see a torn snapshot).  Forces graph and
+/// spectra per entry, plus the exact tables + next-hop index at or below
+/// engine::kCellExactThreshold vertices (never above it).  Throws
 /// std::runtime_error on I/O failure or an unserializable entry (e.g. a
 /// topology name too long for the fixed-width descriptor).
 void write_snapshot(const std::string& path, engine::ArtifactCache& cache);

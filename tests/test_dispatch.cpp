@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "tmp_root.hpp"
+
 namespace sfly::engine {
 namespace {
 
@@ -39,7 +41,7 @@ std::string bin_dir() {
 }
 
 std::string tmp(const char* name) {
-  return std::string(::testing::TempDir()) + "dispatch_" + name;
+  return sfly::test::tmp_root() + "dispatch_" + name;
 }
 
 // Runs `cmd` via the shell, returns its exit code (-1 = didn't exit).

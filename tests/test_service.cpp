@@ -21,6 +21,7 @@
 
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
+#include "tmp_root.hpp"
 #include "util/net.hpp"
 
 namespace sfly::service {
@@ -207,8 +208,7 @@ TEST(Service, DataBeforeHelloIsRejectedAndClosed) {
 }
 
 TEST(Service, WarmRestartedServerServesIdenticalBytesWithoutRebuilds) {
-  const std::string snap_path =
-      std::string(::testing::TempDir()) + "service_warm.snap";
+  const std::string snap_path = sfly::test::tmp_root() + "service_warm.snap";
   const auto requests = mixed_requests();
 
   // Cold daemon: build, serve, snapshot, remember its answers.

@@ -18,13 +18,14 @@
 
 #include "engine/artifact_cache.hpp"
 #include "service/query.hpp"
+#include "tmp_root.hpp"
 #include "topo/factory.hpp"
 
 namespace sfly::service {
 namespace {
 
 std::string tmp(const std::string& name) {
-  return std::string(::testing::TempDir()) + "snapshot_" + name + ".snap";
+  return sfly::test::tmp_root() + "snapshot_" + name + ".snap";
 }
 
 std::string slurp(const std::string& path) {
@@ -266,9 +267,9 @@ TEST(Snapshot, WarmRestartAnswersByteIdenticallyWithoutRebuilding) {
 
 TEST(Snapshot, CellModeEntryRoundTripsAndServesWithoutRebuilding) {
   // Hypercube(13) has 8192 routers — past kCellExactThreshold, so its
-  // snapshot entry carries cell-index blobs and no O(V^2) tables.  The
-  // warm engine must answer routes byte-identically to the cold one with
-  // zero table/index/cell builds.
+  // snapshot entry carries graph + spectra only, no O(V^2) tables.  The
+  // warm engine must answer routes (plain and over a failed-link overlay)
+  // byte-identically to the cold one with zero table/index/cell builds.
   const auto path = tmp("cellmode");
   const std::string spec = "Hypercube(13)";
 
@@ -277,17 +278,15 @@ TEST(Snapshot, CellModeEntryRoundTripsAndServesWithoutRebuilding) {
   auto cold_art = cold.engine().artifacts().get(spec);
   (void)cold_art->graph();
   (void)cold_art->spectra();
-  auto cold_cell = cold_art->cell_index();
-  ASSERT_FALSE(cold_cell->exact());
-  ASSERT_FALSE(cold_cell->is_view());
-  EXPECT_EQ(cold_art->footprint().tables_bytes, 0u);
-  EXPECT_GT(cold_art->footprint().cells_bytes, 0u);
   write_snapshot(path, cold.engine().artifacts());
+  EXPECT_EQ(cold_art->footprint().tables_bytes, 0u);
+  EXPECT_EQ(cold_art->footprint().next_hops_bytes, 0u);
 
   const std::vector<std::string> requests = {
       R"js({"id":1,"kind":"route","topo":"Hypercube(13)","src":0,"dst":8191,"algo":"minimal"})js",
       R"js({"id":2,"kind":"route","topo":"Hypercube(13)","src":5,"dst":4000,"algo":"ugal-l","seed":3})js",
       R"js({"id":3,"kind":"route","topo":"Hypercube(13)","src":17,"dst":1234,"algo":"valiant","seed":7})js",
+      R"js({"id":4,"kind":"route","topo":"Hypercube(13)","src":0,"dst":8191,"algo":"valiant","seed":2,"fail":[0,1,0,2]})js",
   };
   std::vector<std::string> expected;
   for (const auto& r : requests) expected.push_back(cold.handle(r));
@@ -296,16 +295,17 @@ TEST(Snapshot, CellModeEntryRoundTripsAndServesWithoutRebuilding) {
   auto snap = Snapshot::open(path);
   Snapshot::load_into(snap, warm.engine().artifacts());
   auto warm_art = warm.engine().artifacts().get(spec);
-  auto warm_cell = warm_art->cell_index();
-  ASSERT_FALSE(warm_cell->exact());
-  EXPECT_TRUE(warm_cell->is_view());
-  EXPECT_EQ(warm_cell->num_cells(), cold_cell->num_cells());
-  EXPECT_EQ(warm_cell->num_boundary(), cold_cell->num_boundary());
-  const auto va = cold_cell->views();
-  const auto vb = warm_cell->views();
-  expect_span_eq(va.intra, vb.intra, "intra matrices");
-  expect_span_eq(va.ov_adj, vb.ov_adj, "overlay adjacency");
-  EXPECT_TRUE(snap->contains(vb.intra.data()));
+  auto cg = cold_art->graph(), wg = warm_art->graph();
+  expect_span_eq(cg->raw_offsets(), wg->raw_offsets(), "graph offsets");
+  expect_span_eq(cg->raw_adjacency(), wg->raw_adjacency(), "graph adjacency");
+  EXPECT_TRUE(snap->contains(wg->raw_adjacency().data()));
+  EXPECT_EQ(warm_art->spectra()->lambda, cold_art->spectra()->lambda);
+  // Graph-only: the entry's footprint is graph + spectra, nothing routed.
+  const auto f = warm_art->footprint();
+  EXPECT_EQ(f.tables_bytes, 0u);
+  EXPECT_EQ(f.next_hops_bytes, 0u);
+  EXPECT_EQ(f.cells_bytes, 0u);
+  EXPECT_EQ(f.total(), f.graph_bytes + f.spectra_bytes);
 
   const auto tables_before = routing::Tables::builds();
   const auto index_before = routing::NextHopIndex::builds();

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "tmp_root.hpp"
+
 namespace sfly::net {
 namespace {
 
@@ -41,7 +43,7 @@ std::string bin_dir() {
 }
 
 std::string tmp(const std::string& name) {
-  return std::string(::testing::TempDir()) + "transport_" + name;
+  return sfly::test::tmp_root() + "transport_" + name;
 }
 
 // Runs `cmd` via the shell, returns its exit code (-1 = didn't exit).
@@ -222,6 +224,7 @@ struct Fleet {
   std::vector<std::string> worker_envs;  // per direct worker, optional
   int supervisors = 0;          // sfly_worker processes (reconnect loop)
   int slots = -1;               // parent --workers; default = all workers
+  double worker_delay_s = 0;    // sleep before starting each worker
 };
 
 int run_fleet(const Fleet& fl) {
@@ -255,6 +258,8 @@ int run_fleet(const Fleet& fl) {
   }
   sh += "PIDS=\n";
   for (int w = 0; w < fl.direct_workers; ++w) {
+    if (fl.worker_delay_s > 0)
+      sh += "sleep " + std::to_string(fl.worker_delay_s) + "\n";
     const std::string env =
         w < static_cast<int>(fl.worker_envs.size()) ? fl.worker_envs[w] : "";
     // Short dial budget: if the parent aborts the run (e.g. the stale-
@@ -432,6 +437,30 @@ TEST(Tcp, BudgetStopsFleetGracefullyAndResumesSingleProcess) {
   ASSERT_EQ(rc, 0);
   EXPECT_EQ(ref, slurp(bj));
   EXPECT_EQ(slurp(ro), slurp(bo));
+}
+
+TEST(Tcp, BudgetSpentBeforeTheFleetAssemblesStillStops) {
+  // The fleet cannot assemble in time: workers start 1.5 s apart, after
+  // the parent's 0.4 s budget is spent, and a late joiner gets a ~0
+  // budget and leaves at once.  The parent must stop with exit 75 on a
+  // resumable journal instead of waiting for a whole fleet forever.
+  Fleet fl;
+  fl.name = "latejoin";
+  fl.parent_extra = "--max-seconds 0.4";
+  fl.worker_delay_s = 1.5;
+  ASSERT_EQ(run_fleet(fl), 75) << slurp(tmp("latejoin.err"));
+  const std::string ref = slurp(reference().jsonl);
+  const std::string part = slurp(tmp("latejoin.jsonl"));
+  ASSERT_FALSE(part.empty());
+  EXPECT_EQ(ref.compare(0, part.size(), part), 0);
+  EXPECT_EQ(part.back(), '\n');
+  int rc = 75;
+  const std::string lj = tmp("latejoin.jsonl"), lo = tmp("latejoin.out");
+  for (int i = 0; i < 32 && rc == 75; ++i)
+    rc = run(bin_dir() + "/bench_fig6_ugal --ranks 64 --msgs 4 --seed 1 "
+             "--threads 1 --resume " + lj + " > " + lo + " 2>/dev/null");
+  ASSERT_EQ(rc, 0);
+  expect_matches_reference("latejoin");
 }
 
 // ---------------------------------------------------------------------

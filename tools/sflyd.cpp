@@ -86,14 +86,12 @@ int main(int argc, char** argv) {
         queries.engine().register_topology(parsed.name, std::move(parsed.build),
                                            concentration);
         // Materialize everything now: daemons take the build cost at
-        // startup, not on the first unlucky query.  Above the cell
-        // threshold the route artifact is the hierarchical cell index;
+        // startup, not on the first unlucky query.  Above the exact
+        // threshold routes BFS per destination and need nothing built;
         // forcing the O(V^2) tables there would be gigabytes (a sim
         // query on such a topology still builds them lazily).
         auto art = queries.engine().artifacts().get(parsed.name);
-        if (art->graph()->num_vertices() > sfly::engine::kCellExactThreshold) {
-          (void)art->cell_index();
-        } else {
+        if (art->graph()->num_vertices() <= sfly::engine::kCellExactThreshold) {
           (void)art->tables();
           (void)art->next_hops();
         }
