@@ -1,6 +1,9 @@
 #pragma once
 // BFS-based structural metrics: distances, diameter, average shortest path
-// length, girth, connectivity, bipartiteness.  All-pairs routines are
+// length, girth, connectivity, bipartiteness.  distance_stats runs a
+// bit-parallel BFS from 64 sources at a time, OpenMP-parallel over the
+// blocks with 24*n bytes of scratch per thread; its results are bitwise
+// identical to one BFS per source at any thread count.  girth is
 // OpenMP-parallel over source vertices.
 
 #include <cstdint>
@@ -23,7 +26,7 @@ struct DistanceStats {
   std::vector<std::uint64_t> histogram;  // histogram[d] = #ordered pairs at hop d
 };
 
-/// All-pairs distance statistics (exact, parallel BFS).
+/// All-pairs distance statistics (exact, 64-source bit-parallel BFS).
 [[nodiscard]] DistanceStats distance_stats(const Graph& g);
 
 /// Exact girth (length of shortest cycle); returns 0 for forests.

@@ -32,8 +32,9 @@ namespace sfly::net {
 /// Wire protocol version; HELLO/WELCOME must agree.
 inline constexpr int kProtocolVersion = 1;
 
-/// Exit code a --connect worker uses for "link lost, reconnect me"
-/// (sfly_worker's supervisor loop re-dials on it).  Distinct from 75
+/// Exit code a --connect worker uses for "link lost, reconnect me", also
+/// when it never got a slot within its dial budget (sfly_worker's
+/// supervisor loop re-dials on it).  Distinct from 75
 /// (EX_TEMPFAIL, graceful budget stop) and 2 (stale declaration).
 inline constexpr int kExitLinkLost = 76;
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 
 #include "engine/dispatch.hpp"
 #include "engine/transport_tcp.hpp"
@@ -142,7 +143,7 @@ std::vector<FlagSpec> standard_flags() {
       {"--connect", true,
        "join a --listen parent at HOST:PORT as a TCP dispatch worker "
        "(usually via the sfly_worker supervisor, which reconnects with "
-       "backoff)"},
+       "backoff); exits 76 when the link is lost or no slot is found"},
       {"--lease-ms", true,
        "with --listen: slice lease in milliseconds (default 10000); both "
        "sides heartbeat every third of it, and a slot silent for a full "
@@ -475,7 +476,16 @@ engine::RunControl& StandardOptions::run_control() {
         std::fprintf(stderr, "error: --connect expects HOST:PORT\n");
         std::exit(2);
       }
-      auto ch = std::make_unique<engine::SocketChannel>(sc);
+      // A parent that never hands out a slot (gone, or every slot taken
+      // through the whole dial budget) is a lost link, not a crash: exit
+      // the reconnect code so a supervisor re-dials or sees the fleet end.
+      std::unique_ptr<engine::SocketChannel> ch;
+      try {
+        ch = std::make_unique<engine::SocketChannel>(sc);
+      } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(net::kExitLinkLost);
+      }
       // The WELCOME handshake carries the fleet's REMAINING budget, so a
       // reconnected worker shares the parent's wall clock instead of
       // resetting its own.

@@ -2,6 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "graph/failures.hpp"
+#include "topo/lps.hpp"
+#include "util/rng.hpp"
+
 namespace sfly {
 namespace {
 
@@ -95,6 +107,92 @@ TEST(Metrics, DisconnectedStatsFlag) {
   auto g = Graph::from_edges(4, {{0, 1}, {2, 3}});
   auto s = distance_stats(g);
   EXPECT_FALSE(s.connected);
+}
+
+// Independent reference for distance_stats: one bfs_distances per source.
+DistanceStats per_source_stats(const Graph& g) {
+  DistanceStats ref;
+  double total = 0.0;
+  std::uint64_t pairs = 0;
+  for (Vertex s = 0; s < g.num_vertices(); ++s) {
+    const auto dist = bfs_distances(g, s);
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const std::int32_t d = dist[v];
+      if (d == kUnreachable) {
+        ref.connected = false;
+        continue;
+      }
+      if (static_cast<std::size_t>(d) >= ref.histogram.size())
+        ref.histogram.resize(d + 1, 0);
+      ref.diameter = std::max(ref.diameter, d);
+      if (d == 0) continue;
+      ++ref.histogram[d];
+      total += d;
+      ++pairs;
+    }
+  }
+  ref.mean_distance = pairs ? total / static_cast<double>(pairs) : 0.0;
+  return ref;
+}
+
+Graph random_graph(Vertex n, double avg_degree, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<Vertex, Vertex>> e;
+  if (n < 2) return Graph::from_edges(n, std::move(e));
+  const auto m = static_cast<std::uint64_t>(avg_degree * n / 2);
+  for (std::uint64_t i = 0; i < m; ++i) {
+    const auto u = static_cast<Vertex>(uniform_below(rng, n));
+    const auto v = static_cast<Vertex>(uniform_below(rng, n));
+    if (u != v) e.emplace_back(u, v);
+  }
+  return Graph::from_edges(n, std::move(e));
+}
+
+void expect_same_stats(const DistanceStats& a, const DistanceStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.histogram, b.histogram) << what;
+  EXPECT_EQ(a.diameter, b.diameter) << what;
+  EXPECT_EQ(a.connected, b.connected) << what;
+  EXPECT_EQ(a.mean_distance, b.mean_distance) << what;
+}
+
+TEST(Metrics, DistanceStatsMatchesPerSourceBfs) {
+  std::vector<std::pair<std::string, Graph>> cases;
+  // Block edges of the 64-source kernel, and a partial last block.
+  for (Vertex n : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 300u})
+    for (double deg : {1.5, 6.0})
+      cases.emplace_back("random n=" + std::to_string(n) +
+                             " deg=" + std::to_string(deg),
+                         random_graph(n, deg, split_seed(n, deg > 2)));
+  cases.emplace_back("empty", Graph::from_edges(0, {}));
+  cases.emplace_back("isolated vertex",
+                     Graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}));
+  cases.emplace_back("two components",
+                     Graph::from_edges(7, {{0, 1}, {1, 2}, {3, 4}, {4, 5},
+                                           {5, 6}, {6, 3}}));
+  const Graph lps = topo::lps_graph({23, 11});
+  for (double f : {0.2, 0.6})
+    cases.emplace_back("LPS(23,11) f=" + std::to_string(f),
+                       delete_random_edges(lps, f, split_seed(3, 0)));
+
+  bool saw_disconnected = false;
+  for (const auto& [what, g] : cases) {
+    const DistanceStats got = distance_stats(g);
+    expect_same_stats(got, per_source_stats(g), what);
+    saw_disconnected = saw_disconnected || !got.connected;
+#ifdef _OPENMP
+    const int threads = omp_get_max_threads();
+    omp_set_num_threads(1);
+    const DistanceStats one = distance_stats(g);
+    omp_set_num_threads(4);
+    const DistanceStats four = distance_stats(g);
+    omp_set_num_threads(threads);
+    expect_same_stats(one, four, what + " (1 vs 4 threads)");
+    expect_same_stats(one, got, what + " (1 thread vs default)");
+#endif
+  }
+  EXPECT_TRUE(saw_disconnected);
+  EXPECT_TRUE(distance_stats(lps).connected);
 }
 
 TEST(Metrics, Bipartiteness) {

@@ -236,14 +236,18 @@ int run_fleet(const Fleet& fl) {
   sh += "PF=" + tmp(fl.name + ".port") + "; rm -f $PF\n";
   sh += fl.parent_env + (fl.parent_env.empty() ? "" : " ") +
         "SFLY_LISTEN_PORT_FILE=$PF " + bench + " " + fl.campaign +
-        " --workers " + std::to_string(slots) + " --listen 0 --lease-ms " +
+        " --threads 1 --workers " + std::to_string(slots) +
+        " --listen 0 --lease-ms " +
         std::to_string(fl.lease_ms) + " " + fl.parent_extra + " --json " +
         tmp(fl.name + ".jsonl") + " > " + tmp(fl.name + ".out") + " 2> " +
         tmp(fl.name + ".err") + " &\n";
   sh += "P=$!\n";
-  sh += "i=0; while [ $i -lt 200 ] && [ ! -s $PF ]; do sleep 0.05; "
+  // Up to 60 s for the port file: concurrent fleets under `ctest -j`
+  // share the machine.  On timeout the parent's stderr says why.
+  sh += "i=0; while [ $i -lt 1200 ] && [ ! -s $PF ]; do sleep 0.05; "
         "i=$((i+1)); done\n";
-  sh += "[ -s $PF ] || { kill $P 2>/dev/null; exit 97; }\n";
+  sh += "[ -s $PF ] || { kill $P 2>/dev/null; cat " + tmp(fl.name + ".err") +
+        " >&2; exit 97; }\n";
   sh += "TARGET=$(cat $PF)\n";
   if (!fl.proxy_args.empty()) {
     sh += "XPF=" + tmp(fl.name + ".xport") + "; rm -f $XPF\n";
@@ -251,9 +255,10 @@ int run_fleet(const Fleet& fl) {
           "--to 127.0.0.1:$TARGET " + fl.proxy_args + " 2> " +
           tmp(fl.name + ".proxyerr") + " &\n";
     sh += "X=$!\n";
-    sh += "i=0; while [ $i -lt 200 ] && [ ! -s $XPF ]; do sleep 0.05; "
+    sh += "i=0; while [ $i -lt 1200 ] && [ ! -s $XPF ]; do sleep 0.05; "
           "i=$((i+1)); done\n";
-    sh += "[ -s $XPF ] || { kill $P $X 2>/dev/null; exit 96; }\n";
+    sh += "[ -s $XPF ] || { kill $P $X 2>/dev/null; cat " +
+          tmp(fl.name + ".proxyerr") + " >&2; exit 96; }\n";
     sh += "TARGET=$(cat $XPF)\n";
   }
   sh += "PIDS=\n";
@@ -267,14 +272,18 @@ int run_fleet(const Fleet& fl) {
     // seconds, not the production-sized backoff window.
     sh += env + (env.empty() ? "" : " ") +
           "SFLY_CONNECT_BASE_MS=50 SFLY_CONNECT_ATTEMPTS=6 " +
-          bench + " " + fl.campaign + " --connect 127.0.0.1:$TARGET "
+          bench + " " + fl.campaign +
+          " --threads 1 --connect 127.0.0.1:$TARGET "
           "> /dev/null 2> " + tmp(fl.name + ".w" + std::to_string(w)) +
           " &\nPIDS=\"$PIDS $!\"\n";
   }
   for (int s = 0; s < fl.supervisors; ++s) {
     // Small dial budget: a supervisor stranded by an end-of-run race
-    // (BYE lost to the fault schedule) must give up in seconds.
-    sh += bin_dir() + "/sfly_worker --connect 127.0.0.1:$TARGET "
+    // (BYE lost to the fault schedule) must give up in seconds.  The
+    // parent strips --threads from the argv it hands out, so the exec'd
+    // bench is held to one thread through its OpenMP default instead.
+    sh += "OMP_NUM_THREADS=1 " + bin_dir() +
+          "/sfly_worker --connect 127.0.0.1:$TARGET "
           "--attempts 6 --base-ms 50 2> " +
           tmp(fl.name + ".s" + std::to_string(s)) + " &\nPIDS=\"$PIDS $!\"\n";
   }
@@ -461,6 +470,26 @@ TEST(Tcp, BudgetSpentBeforeTheFleetAssemblesStillStops) {
              "--threads 1 --resume " + lj + " > " + lo + " 2>/dev/null");
   ASSERT_EQ(rc, 0);
   expect_matches_reference("latejoin");
+}
+
+TEST(Tcp, ConnectWithoutParentExitsLinkLostWithMessage) {
+  // Nothing listens on the port: the worker's dial budget runs out, and
+  // it must exit with the reconnect code and say why, not abort.
+  std::uint16_t port = 0;
+  const int fd = tcp_listen(0, port);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  const std::string err = tmp("noparent.err");
+  const int rc = run("SFLY_CONNECT_BASE_MS=10 SFLY_CONNECT_ATTEMPTS=2 " +
+                     bin_dir() + "/bench_fig6_ugal --ranks 64 --msgs 4 "
+                     "--threads 1 --connect 127.0.0.1:" +
+                     std::to_string(port) + " > /dev/null 2> " + err);
+  EXPECT_EQ(rc, kExitLinkLost) << slurp(err);
+  EXPECT_NE(slurp(err).find("error: --connect: no worker slot at 127.0.0.1:" +
+                            std::to_string(port) + " after 2 attempts"),
+            std::string::npos)
+      << slurp(err);
+  EXPECT_EQ(slurp(err).find("terminate"), std::string::npos) << slurp(err);
 }
 
 // ---------------------------------------------------------------------
